@@ -1,13 +1,12 @@
 //! Records the warehouse roll-up performance baseline (experiment E16).
 //!
 //! Times the row-at-a-time reference executor against the compiled
-//! columnar path (cold = plan compiled every call, warm = plan served
-//! from the warehouse plan cache) across group cardinalities — from the
-//! zero-group global aggregate to a composed City×Date roll-up — checks
-//! that both paths return identical result sets, measures answer-cache
-//! throughput across shard counts and thread counts, and writes the
-//! measurements to `BENCH_warehouse.json` so future changes have a
-//! recorded trajectory to compare against.
+//! columnar path (`CubeQuery::run`, which compiles and scans on every
+//! call) across group cardinalities — from the zero-group global
+//! aggregate to a composed City×Date roll-up — checks that both paths
+//! return identical result sets, measures answer-cache throughput across
+//! thread counts, and writes the measurements to `BENCH_warehouse.json`
+//! so future changes have a recorded trajectory to compare against.
 //!
 //! Usage: `exp_warehouse_bench [--quick] [--out PATH]`
 //!
@@ -30,16 +29,13 @@ struct RollupMeasurement {
     groups: usize,
     iterations: u32,
     reference_us: f64,
-    compiled_cold_us: f64,
-    compiled_warm_us: f64,
-    speedup_cold: f64,
-    speedup_warm: f64,
+    compiled_us: f64,
+    speedup: f64,
 }
 
 /// One measured answer-cache contention configuration.
 #[derive(Serialize)]
 struct CacheMeasurement {
-    shards: usize,
     threads: usize,
     /// Operations per thread (one store + one lookup + one len each).
     ops_per_thread: u32,
@@ -135,17 +131,7 @@ fn measure_rollup(
     );
 
     let reference_us = time_us(iters, || query.execute_reference(wh));
-    // Cold: pay plan compilation on every call (what a plan-cache-less
-    // engine would do).
-    let compiled_cold_us = time_us(iters, || {
-        query
-            .compile(wh)
-            .expect("compiles")
-            .execute(wh)
-            .expect("executes")
-    });
-    // Warm: `run` resolves the plan through the warehouse plan cache.
-    let compiled_warm_us = time_us(iters, || query.run(wh));
+    let compiled_us = time_us(iters, || query.run(wh));
 
     RollupMeasurement {
         name,
@@ -156,17 +142,15 @@ fn measure_rollup(
         groups: reference.rows.len(),
         iterations: iters,
         reference_us,
-        compiled_cold_us,
-        compiled_warm_us,
-        speedup_cold: reference_us / compiled_cold_us.max(1e-9),
-        speedup_warm: reference_us / compiled_warm_us.max(1e-9),
+        compiled_us,
+        speedup: reference_us / compiled_us.max(1e-9),
     }
 }
 
 /// Hammers one shared cache from `threads` workers (store + lookup +
-/// lock-free len per op) and reports aggregate throughput.
-fn measure_cache(shards: usize, threads: usize, ops: u32) -> CacheMeasurement {
-    let cache = Arc::new(AnswerCache::with_shards(4096, shards));
+/// len per op) and reports aggregate throughput.
+fn measure_cache(threads: usize, ops: u32) -> CacheMeasurement {
+    let cache = Arc::new(AnswerCache::new(4096));
     // Pre-populate so lookups mostly hit.
     for i in 0..1024u32 {
         cache.store(format!("warm {i}"), 0, vec![]);
@@ -191,7 +175,6 @@ fn measure_cache(shards: usize, threads: usize, ops: u32) -> CacheMeasurement {
     let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
     let total_ops = f64::from(ops) * threads as f64;
     CacheMeasurement {
-        shards,
         threads,
         ops_per_thread: ops,
         elapsed_us,
@@ -222,48 +205,31 @@ fn main() {
         let m = measure_rollup(name, &wh, &query, iters);
         println!(
             "{:<17} {:>6} rows → {:>5} groups  reference {:>9.1} µs  \
-             cold {:>8.1} µs ({:>4.1}×)  warm {:>8.1} µs ({:>4.1}×)",
-            m.name,
-            m.fact_rows,
-            m.groups,
-            m.reference_us,
-            m.compiled_cold_us,
-            m.speedup_cold,
-            m.compiled_warm_us,
-            m.speedup_warm,
+             compiled {:>8.1} µs ({:>4.1}×)",
+            m.name, m.fact_rows, m.groups, m.reference_us, m.compiled_us, m.speedup,
         );
         rollups.push(m);
     }
 
-    section("answer cache: shard contention");
-    let shard_steps: &[usize] = &[1, 2, 4, 8];
+    section("answer cache: thread contention");
     let thread_steps: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let mut cache = Vec::new();
-    for &s in shard_steps {
-        for &t in thread_steps {
-            let m = measure_cache(s, t, cache_ops);
-            println!(
-                "shards {s}  threads {t}  {:>10.0} ops/s  ({:.1} ms total)",
-                m.ops_per_sec,
-                m.elapsed_us / 1e3,
-            );
-            cache.push(m);
-        }
+    for &t in thread_steps {
+        let m = measure_cache(t, cache_ops);
+        println!(
+            "threads {t}  {:>10.0} ops/s  ({:.1} ms total)",
+            m.ops_per_sec,
+            m.elapsed_us / 1e3,
+        );
+        cache.push(m);
     }
 
-    // Acceptance gates: the compiled path must beat the reference, and
-    // serving plans from the cache must beat recompiling them.
+    // Acceptance gate: the compiled path must beat the reference.
     let floor = if quick { 1.0 } else { 2.0 };
-    let best_warm = rollups.iter().map(|m| m.speedup_warm).fold(0.0, f64::max);
+    let best = rollups.iter().map(|m| m.speedup).fold(0.0, f64::max);
     assert!(
-        best_warm >= floor,
-        "best compiled speedup {best_warm:.2}× is below the {floor:.1}× floor"
-    );
-    let cold_total: f64 = rollups.iter().map(|m| m.compiled_cold_us).sum();
-    let warm_total: f64 = rollups.iter().map(|m| m.compiled_warm_us).sum();
-    assert!(
-        warm_total < cold_total,
-        "plan-cache-warm ({warm_total:.1} µs) should beat cold ({cold_total:.1} µs)"
+        best >= floor,
+        "best compiled speedup {best:.2}× is below the {floor:.1}× floor"
     );
 
     let report = BenchReport {

@@ -1,10 +1,10 @@
 //! Revision-invalidated registry of **live** roll-up results.
 //!
-//! The warehouse's plan cache (in `dwqa-warehouse`) avoids re-*compiling*
-//! a query; this cache avoids re-*executing* it. Entries are tagged with
-//! the pipeline revision they were computed against and — where the
-//! query permits — retain a [`MaterializedRollup`]: the per-group
-//! accumulator state alongside the result.
+//! `CubeQuery::run` (in `dwqa-warehouse`) compiles and scans on every
+//! call; this cache avoids re-*executing* a query at all. Entries are
+//! tagged with the pipeline revision they were computed against and —
+//! where the query permits — retain a [`MaterializedRollup`]: the
+//! per-group accumulator state alongside the result.
 //!
 //! That state is what makes commits cheap. A committed feed transaction
 //! no longer purges the cache; it folds its typed [`WarehouseDelta`]

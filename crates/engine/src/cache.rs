@@ -1,31 +1,17 @@
-//! The answer cache: a lock-striped LRU map keyed on *normalized*
-//! question text, with every entry tagged by the warehouse revision it
-//! was computed against. When the feedback ETL mutates the warehouse the
-//! pipeline bumps its revision (see [`dwqa_core::ReadPath::revision`]);
-//! stale entries are then dropped lazily on lookup or eagerly via
+//! The answer cache: an LRU map keyed on *normalized* question text,
+//! with every entry tagged by the warehouse revision it was computed
+//! against. When the feedback ETL mutates the warehouse the pipeline
+//! bumps its revision (see [`dwqa_core::ReadPath::revision`]); stale
+//! entries are then dropped lazily on lookup or eagerly via
 //! [`AnswerCache::purge_stale`].
 //!
-//! The map is split into [`DEFAULT_SHARDS`] independently-locked shards
-//! selected by the key's hash, so concurrent workers answering different
-//! questions rarely contend on the same mutex. Each shard keeps a relaxed
-//! atomic count of its entries, which makes [`AnswerCache::len`] — and
-//! therefore the REPL's `:stats` line and the service's `ServiceStats`
-//! snapshot — entirely lock-free: observability never queues behind the
-//! hot path. LRU order is tracked *per shard*; with more than one shard
-//! eviction is approximate (each shard evicts its own least-recent entry
-//! when its slice of the capacity overflows), which is the standard
-//! striped-cache trade-off.
+//! One mutex guards the whole map, so eviction is exact global LRU and
+//! [`AnswerCache::len`] is the map's length under that lock. One lock is
+//! enough: E16 measured no throughput gain from striping it eight ways.
 
 use dwqa_qa::Answer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Default number of lock stripes. Eight keeps contention negligible for
-/// the service's worker pools (2–8 threads) while the per-shard memory
-/// overhead stays trivial.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// Canonicalizes a question for cache keying: accent/case folding,
 /// whitespace collapsing, and trailing punctuation removal, so
@@ -54,42 +40,21 @@ struct Inner {
     tick: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    inner: Mutex<Inner>,
-    /// Mirror of `inner.map.len()`, maintained under the shard lock but
-    /// readable without it.
-    entries: AtomicUsize,
-}
-
-/// A bounded, lock-striped LRU answer cache, safe to share across worker
-/// threads.
+/// A bounded LRU answer cache behind one lock, safe to share across
+/// worker threads.
 #[derive(Debug)]
 pub struct AnswerCache {
     capacity: usize,
-    /// Per-shard entry budget: `capacity` split evenly (rounded up), so
-    /// the whole cache never exceeds `shard_capacity * shards` entries.
-    shard_capacity: usize,
-    shards: Vec<Shard>,
+    inner: Mutex<Inner>,
 }
 
 impl AnswerCache {
-    /// Creates a cache holding at most `capacity` question entries,
-    /// striped over [`DEFAULT_SHARDS`] locks. A zero capacity disables
-    /// caching entirely.
+    /// Creates a cache holding at most `capacity` question entries. A
+    /// zero capacity disables caching entirely.
     pub fn new(capacity: usize) -> AnswerCache {
-        AnswerCache::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache with an explicit shard count (clamped to at least
-    /// one). With one shard, eviction is exact global LRU; with more,
-    /// each shard evicts its own least-recent entry independently.
-    pub fn with_shards(capacity: usize, shards: usize) -> AnswerCache {
-        let shards = shards.max(1);
         AnswerCache {
             capacity,
-            shard_capacity: capacity.div_ceil(shards),
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -98,26 +63,9 @@ impl AnswerCache {
         self.capacity
     }
 
-    /// The number of lock stripes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: &str) -> &Shard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.shards.len();
-        &self.shards[idx]
-    }
-
-    /// Entries currently cached (fresh and stale alike). Lock-free: sums
-    /// the per-shard atomic counters, so stats reads never contend with
-    /// answering workers.
+    /// Entries currently cached (fresh and stale alike).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.entries.load(Ordering::Relaxed))
-            .sum()
+        self.inner.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -129,8 +77,7 @@ impl AnswerCache {
     /// the entry was computed against `revision`; a stale entry is
     /// removed and reported as a miss.
     pub fn lookup(&self, key: &str, revision: u64) -> Option<Vec<Answer>> {
-        let shard = self.shard_of(key);
-        let mut inner = shard.inner.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -140,24 +87,22 @@ impl AnswerCache {
             }
             Some(_) => {
                 inner.map.remove(key);
-                shard.entries.fetch_sub(1, Ordering::Relaxed);
                 None
             }
             None => None,
         }
     }
 
-    /// Stores answers computed against `revision`, evicting the shard's
-    /// least recently used entry when the shard is full.
+    /// Stores answers computed against `revision`, evicting the least
+    /// recently used entry when the cache is full.
     pub fn store(&self, key: String, revision: u64, answers: Vec<Answer>) {
         if self.capacity == 0 {
             return;
         }
-        let shard = self.shard_of(&key);
-        let mut inner = shard.inner.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let replaced = inner.map.insert(
+        inner.map.insert(
             key,
             Entry {
                 revision,
@@ -165,20 +110,14 @@ impl AnswerCache {
                 last_used: tick,
             },
         );
-        if replaced.is_none() {
-            shard.entries.fetch_add(1, Ordering::Relaxed);
-        }
-        while inner.map.len() > self.shard_capacity {
+        while inner.map.len() > self.capacity {
             let lru = inner
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone());
             match lru {
-                Some(key) => {
-                    inner.map.remove(&key);
-                    shard.entries.fetch_sub(1, Ordering::Relaxed);
-                }
+                Some(key) => inner.map.remove(&key),
                 None => break,
             };
         }
@@ -187,27 +126,15 @@ impl AnswerCache {
     /// Eagerly drops every entry not computed against `revision`,
     /// returning how many were removed.
     pub fn purge_stale(&self, revision: u64) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            let before = inner.map.len();
-            inner.map.retain(|_, e| e.revision == revision);
-            let removed = before - inner.map.len();
-            if removed > 0 {
-                shard.entries.fetch_sub(removed, Ordering::Relaxed);
-            }
-            dropped += removed;
-        }
-        dropped
+        let mut inner = self.inner.lock();
+        let before = inner.map.len();
+        inner.map.retain(|_, e| e.revision == revision);
+        before - inner.map.len()
     }
 
     /// Drops everything.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            inner.map.clear();
-            shard.entries.store(0, Ordering::Relaxed);
-        }
+        self.inner.lock().map.clear();
     }
 }
 
@@ -248,12 +175,9 @@ mod tests {
         assert!(cache.lookup("old", 3).is_none());
     }
 
-    // The exact-LRU tests pin the eviction order down to single entries,
-    // which only holds when all keys share one stripe: run them on a
-    // single-shard cache.
     #[test]
     fn lru_eviction_keeps_recently_used_entries() {
-        let cache = AnswerCache::with_shards(2, 1);
+        let cache = AnswerCache::new(2);
         cache.store("a".into(), 0, vec![]);
         cache.store("b".into(), 0, vec![]);
         // Touch "a" so "b" is the least recently used.
@@ -274,7 +198,7 @@ mod tests {
 
     #[test]
     fn eviction_follows_exact_lru_order() {
-        let cache = AnswerCache::with_shards(3, 1);
+        let cache = AnswerCache::new(3);
         cache.store("a".into(), 0, vec![]);
         cache.store("b".into(), 0, vec![]);
         cache.store("c".into(), 0, vec![]);
@@ -293,7 +217,7 @@ mod tests {
 
     #[test]
     fn re_store_refreshes_recency_and_revision() {
-        let cache = AnswerCache::with_shards(2, 1);
+        let cache = AnswerCache::new(2);
         cache.store("a".into(), 0, vec![]);
         cache.store("b".into(), 0, vec![]);
         // Re-storing "a" at a newer revision refreshes both its recency
@@ -320,11 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn len_tracks_entries_across_shards() {
-        // Capacity 320 over 8 shards → 40 per stripe, so 40 keys can
-        // never overflow a stripe however skewed the hash is.
-        let cache = AnswerCache::with_shards(320, 8);
-        assert_eq!(cache.shards(), 8);
+    fn len_counts_entries_through_store_lookup_purge_and_clear() {
+        let cache = AnswerCache::new(64);
         for i in 0..40 {
             cache.store(format!("question {i}"), 0, vec![]);
         }
@@ -348,20 +269,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_capacity_is_respected_per_stripe() {
-        // 16 entries over 4 shards → 4 per shard; total never exceeds
-        // the configured capacity even under heavy overflow.
-        let cache = AnswerCache::with_shards(16, 4);
+    fn capacity_is_never_exceeded() {
+        // Heavy overflow keeps exactly `capacity` entries: the cache is
+        // full, never over.
+        let cache = AnswerCache::new(16);
         for i in 0..200 {
             cache.store(format!("q{i}"), 0, vec![]);
         }
-        assert!(cache.len() <= 16, "len {} > capacity 16", cache.len());
-        assert!(cache.len() >= 4, "every stripe should retain entries");
+        assert_eq!(cache.len(), 16);
+        // Exact LRU: the survivors are the 16 most recent stores.
+        for i in 184..200 {
+            assert!(cache.lookup(&format!("q{i}"), 0).is_some(), "q{i}");
+        }
     }
 
     #[test]
     fn concurrent_store_lookup_and_len_stay_consistent() {
-        let cache = std::sync::Arc::new(AnswerCache::with_shards(256, 8));
+        let cache = std::sync::Arc::new(AnswerCache::new(256));
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let cache = std::sync::Arc::clone(&cache);
@@ -369,10 +293,9 @@ mod tests {
                     for i in 0..200 {
                         let key = format!("thread {t} question {i}");
                         cache.store(key.clone(), 0, vec![]);
-                        // Under contention another thread may already
-                        // have evicted the key from a shared stripe, so
-                        // only exercise the read path, don't assert a
-                        // hit.
+                        // Under contention another thread's stores may
+                        // already have evicted the key, so only exercise
+                        // the read path, don't assert a hit.
                         let _ = cache.lookup(&key, 0);
                         // len() must be callable concurrently without
                         // deadlock or panic.
@@ -384,13 +307,12 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // Counter mirror and map agree after the dust settles: purging
-        // with the live revision touches nothing, and a full clear
-        // zeroes the counters.
-        let before = cache.len();
-        assert!(before <= 256);
+        // 800 distinct keys through a 256-entry cache leave it exactly
+        // full; purging with the live revision touches nothing, and a
+        // full clear empties it.
+        assert_eq!(cache.len(), 256);
         assert_eq!(cache.purge_stale(0), 0);
-        assert_eq!(cache.len(), before);
+        assert_eq!(cache.len(), 256);
         cache.clear();
         assert_eq!(cache.len(), 0);
     }

@@ -10,9 +10,9 @@
 //! * [`QaEngine`] — a worker-thread pool (crossbeam scoped threads) that
 //!   answers question batches in parallel and merges results in input
 //!   order, so reports are deterministic no matter how work interleaves;
-//! * [`AnswerCache`] — a bounded LRU cache keyed on normalized question
-//!   text, with entries tagged by the warehouse revision and invalidated
-//!   when feedback ETL mutates the warehouse;
+//! * [`AnswerCache`] — a bounded, exact-LRU cache behind one lock, keyed
+//!   on normalized question text, with entries tagged by the warehouse
+//!   revision and invalidated when feedback ETL mutates the warehouse;
 //! * [`EngineStats`] — lock-free per-stage counters and latency
 //!   histograms, rendered by the REPL and the experiment binaries;
 //! * [`QaSession`] — the session-oriented user API

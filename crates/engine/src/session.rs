@@ -133,15 +133,6 @@ impl QaEngine {
         self
     }
 
-    /// Replaces the answer cache with one of the given capacity and an
-    /// explicit lock-stripe count (see [`AnswerCache::with_shards`]).
-    /// One shard gives exact global LRU; more shards trade eviction
-    /// precision for lower lock contention across workers.
-    pub fn with_cache_sharding(mut self, capacity: usize, shards: usize) -> QaEngine {
-        self.cache = AnswerCache::with_shards(capacity, shards);
-        self
-    }
-
     /// Turns per-question trace collection on or off. Tracing also
     /// defaults on when the `DWQA_TRACE` environment variable is set.
     pub fn with_tracing(self, on: bool) -> QaEngine {

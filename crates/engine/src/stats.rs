@@ -320,16 +320,6 @@ impl EngineStats {
         }
     }
 
-    /// Roll-up plans compiled against a fresh warehouse revision.
-    pub fn warehouse_plans_compiled(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_PLANS_COMPILED)
-    }
-
-    /// Roll-up plans served from the warehouse plan cache.
-    pub fn warehouse_plans_reused(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_PLANS_REUSED)
-    }
-
     /// Fact rows walked by compiled roll-up scans (summed).
     pub fn warehouse_rows_scanned(&self) -> u64 {
         self.registry.counter_value(names::WAREHOUSE_ROWS_SCANNED)
@@ -414,9 +404,7 @@ impl EngineStats {
             self.retrieval_windows_scored(),
         ));
         out.push_str(&format!(
-            "warehouse: {} plans compiled / {} reused   {} rows scanned   rollup cache: {} hits / {} misses   deltas: {} applied / {} demoted ({} rows folded)\n",
-            self.warehouse_plans_compiled(),
-            self.warehouse_plans_reused(),
+            "warehouse: {} rows scanned   rollup cache: {} hits / {} misses   deltas: {} applied / {} demoted ({} rows folded)\n",
             self.warehouse_rows_scanned(),
             self.warehouse_rollup_hits(),
             self.warehouse_rollup_misses(),
@@ -516,16 +504,12 @@ mod tests {
     fn warehouse_counters_read_the_shared_registry() {
         let stats = EngineStats::default();
         let reg = Arc::clone(stats.registry());
-        reg.counter(names::WAREHOUSE_PLANS_COMPILED).add(2);
-        reg.counter(names::WAREHOUSE_PLANS_REUSED).add(5);
         reg.counter(names::WAREHOUSE_ROWS_SCANNED).add(1000);
         reg.counter(names::WAREHOUSE_ROLLUP_HITS).add(3);
         reg.counter(names::WAREHOUSE_ROLLUP_MISSES).add(4);
         reg.counter(names::WAREHOUSE_DELTA_APPLIED).add(6);
         reg.counter(names::WAREHOUSE_DELTA_DEMOTED).inc();
         reg.counter(names::WAREHOUSE_DELTA_ROWS).add(42);
-        assert_eq!(stats.warehouse_plans_compiled(), 2);
-        assert_eq!(stats.warehouse_plans_reused(), 5);
         assert_eq!(stats.warehouse_rows_scanned(), 1000);
         assert_eq!(stats.warehouse_rollup_hits(), 3);
         assert_eq!(stats.warehouse_rollup_misses(), 4);
@@ -533,7 +517,7 @@ mod tests {
         assert_eq!(stats.warehouse_deltas_demoted(), 1);
         assert_eq!(stats.warehouse_delta_rows(), 42);
         let table = stats.render();
-        assert!(table.contains("2 plans compiled / 5 reused"), "{table}");
+        assert!(table.contains("1000 rows scanned"), "{table}");
         assert!(table.contains("3 hits / 4 misses"), "{table}");
         assert!(
             table.contains("6 applied / 1 demoted (42 rows folded)"),

@@ -75,12 +75,8 @@ pub const STORE_TORN_FAULTS: &str = "store.torn.faults";
 /// Counter: WAL records dropped on recovery as a torn / stale tail.
 pub const STORE_RECOVERY_TRUNCATED: &str = "store.recovery.truncated";
 
-/// Counter: roll-up plans compiled against a fresh warehouse revision
-/// (`dwqa-warehouse`).
-pub const WAREHOUSE_PLANS_COMPILED: &str = "warehouse.plans.compiled";
-/// Counter: roll-up plans served from the warehouse plan cache.
-pub const WAREHOUSE_PLANS_REUSED: &str = "warehouse.plans.reused";
-/// Counter: fact rows walked by compiled roll-up scans (summed).
+/// Counter: fact rows walked by compiled roll-up scans (summed;
+/// `dwqa-warehouse`).
 pub const WAREHOUSE_ROWS_SCANNED: &str = "warehouse.rows.scanned";
 /// Counter: groups materialised by compiled roll-up scans (summed).
 pub const WAREHOUSE_GROUPS: &str = "warehouse.groups";

@@ -390,9 +390,8 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Answer-cache misses.
     pub cache_misses: u64,
-    /// Entries currently held by the answer cache. Read lock-free from
-    /// the cache's per-shard counters, so the `stats` verb never queues
-    /// behind answering workers.
+    /// Entries currently held by the answer cache, read under the
+    /// cache's lock (held only for a single map operation).
     pub cache_entries: u64,
     /// Warehouse revision visible on the read path.
     pub revision: u64,

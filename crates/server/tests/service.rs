@@ -231,8 +231,8 @@ fn request_deadlines_propagate_into_the_engine() {
     assert_eq!(resp.outcomes.unwrap(), vec!["ok".to_owned()]);
     assert!(!resp.answers.unwrap()[0].is_empty());
 
-    // The clean answer landed in the (sharded) answer cache, and the
-    // stats verb reports its entry count from the lock-free counters.
+    // The clean answer landed in the answer cache, and the stats verb
+    // reports its entry count.
     let stats = client.stats().unwrap().stats.unwrap();
     assert!(stats.cache_entries >= 1, "answer should be cached");
     assert!(server.join().is_some());

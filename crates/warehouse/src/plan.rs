@@ -3,8 +3,10 @@
 //!
 //! The reference executor re-resolves role and level names, clones a
 //! `Vec<Value>` group key and hashes it *per fact row*. A
-//! [`CompiledRollup`] does all of that once per (query, warehouse
-//! revision):
+//! [`CompiledRollup`] does all of that once per
+//! [`CubeQuery::run`](crate::query::CubeQuery::run) call, which compiles
+//! and executes together so a plan never outlives the warehouse contents
+//! it was resolved against:
 //!
 //! * every filter becomes a per-member **pass mask** — the predicate is
 //!   evaluated once per dimension member, never per fact row;
@@ -62,12 +64,11 @@ struct CompiledGroup {
     values: Vec<Value>,
 }
 
-/// A [`CubeQuery`] resolved and validated against one warehouse
-/// revision. Obtain one via [`CubeQuery::compile`] or (cached) through
-/// [`Warehouse::plan`]; execute it with [`CompiledRollup::execute`].
+/// A [`CubeQuery`] resolved and validated against the warehouse's
+/// current contents. [`CubeQuery::run`] compiles one and executes it
+/// immediately; it is never kept across a mutation.
 #[derive(Debug)]
-pub struct CompiledRollup {
-    revision: u64,
+pub(crate) struct CompiledRollup {
     fact: String,
     agg_cols: Vec<usize>,
     agg_fns: Vec<AggFn>,
@@ -87,12 +88,6 @@ pub struct CompiledRollup {
 }
 
 impl CompiledRollup {
-    /// The warehouse revision this plan was compiled against; the plan
-    /// cache drops the plan when the warehouse moves past it.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
     /// Whether the composed ordinal space overflowed and execution must
     /// fall back to the reference scan.
     pub(crate) fn needs_reference(&self) -> bool {
@@ -246,7 +241,6 @@ impl CompiledRollup {
         };
 
         Ok(CompiledRollup {
-            revision: wh.revision(),
             fact: query.fact.clone(),
             agg_cols,
             agg_fns,
@@ -261,10 +255,9 @@ impl CompiledRollup {
         })
     }
 
-    /// Runs the tight scan against `wh`. The warehouse must be at the
-    /// revision the plan was compiled for (callers going through
-    /// [`Warehouse::plan`] get that guarantee from the plan cache).
-    pub fn execute(&self, wh: &Warehouse) -> Result<ResultSet> {
+    /// Runs the tight scan against `wh`, which must be the unmutated
+    /// warehouse the plan was compiled against.
+    pub(crate) fn execute(&self, wh: &Warehouse) -> Result<ResultSet> {
         let fact = wh.fact(&self.fact)?;
         let n_rows = fact.len();
         let n_aggs = self.agg_cols.len();

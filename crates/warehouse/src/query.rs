@@ -350,24 +350,17 @@ impl CubeQuery {
 
     /// Executes against a warehouse.
     ///
-    /// This is the fast path: the query is compiled into a
-    /// [`CompiledRollup`](crate::plan::CompiledRollup) (served from the
-    /// warehouse's revision-keyed plan cache when possible) and run as a
-    /// columnar scan. Results are byte-identical to
-    /// [`CubeQuery::execute_reference`].
+    /// This is the fast path: the query is compiled against the
+    /// warehouse's current contents and run as a columnar scan in the
+    /// same call. Results are byte-identical to
+    /// [`CubeQuery::execute_reference`], which also serves queries whose
+    /// composed group ordinals would overflow.
     pub fn run(&self, wh: &Warehouse) -> Result<ResultSet> {
-        let plan = wh.plan(self)?;
+        let plan = crate::plan::CompiledRollup::compile(self, wh)?;
         if plan.needs_reference() {
             return self.execute_reference(wh);
         }
         plan.execute(wh)
-    }
-
-    /// Compiles this query against `wh` without consulting the plan
-    /// cache — useful for benchmarking compile cost and for callers that
-    /// manage plan lifetime themselves.
-    pub fn compile(&self, wh: &Warehouse) -> Result<crate::plan::CompiledRollup> {
-        crate::plan::CompiledRollup::compile(self, wh)
     }
 
     /// The original row-at-a-time executor, kept as the semantic

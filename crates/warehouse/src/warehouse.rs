@@ -4,46 +4,19 @@ use crate::dimension::DimensionTable;
 use crate::error::{Result, WarehouseError};
 use crate::etl::{autofill_date_levels, EtlReport, FactRow, Rejection};
 use crate::fact::FactTable;
-use crate::plan::CompiledRollup;
-use crate::query::CubeQuery;
 use dwqa_mdmodel::Schema;
-use dwqa_obs::names as obs;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Upper bound on cached compiled plans; the workloads the engine sees
-/// (dwquery, analysis, the REPL) reuse a handful of query shapes, so the
-/// cache is simply cleared when it fills rather than tracking LRU order.
-const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// A data warehouse materialising one multidimensional [`Schema`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Warehouse {
     schema: Schema,
     dimensions: Vec<DimensionTable>,
     facts: Vec<FactTable>,
-    /// Bumped on every mutation; compiled plans and cached roll-up
-    /// results are tagged with the revision they were built against and
-    /// discarded when it moves.
+    /// Bumped on every mutation; a cache keyed on it discards what it
+    /// computed when it moves, and a [`WarehouseDelta`] names the two
+    /// revisions it spans.
     revision: u64,
-    /// Compiled-plan cache, keyed by the query's canonical (serialized)
-    /// form. Interior mutability so `CubeQuery::run(&Warehouse)` can
-    /// populate it through a shared reference.
-    plans: Mutex<HashMap<String, Arc<CompiledRollup>>>,
-}
-
-impl Clone for Warehouse {
-    /// Clones the data; the plan cache starts empty in the clone (plans
-    /// are revision-tagged derivations, cheap to recompile on demand).
-    fn clone(&self) -> Warehouse {
-        Warehouse {
-            schema: self.schema.clone(),
-            dimensions: self.dimensions.clone(),
-            facts: self.facts.clone(),
-            revision: self.revision,
-            plans: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Warehouse {
@@ -60,7 +33,6 @@ impl Warehouse {
             dimensions,
             facts,
             revision: 0,
-            plans: Mutex::new(HashMap::new()),
         }
     }
 
@@ -68,48 +40,6 @@ impl Warehouse {
     /// query results (loads, restores) bumps it; caches key on it.
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    fn plans(&self) -> MutexGuard<'_, HashMap<String, Arc<CompiledRollup>>> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is always in a usable state.
-        match self.plans.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Returns a compiled plan for `query` at the current revision,
-    /// reusing a cached one when the warehouse has not changed since it
-    /// was compiled.
-    pub fn plan(&self, query: &CubeQuery) -> Result<Arc<CompiledRollup>> {
-        let Ok(key) = serde_json::to_string(query) else {
-            // Unserializable queries (shouldn't happen for well-formed
-            // values) just compile uncached.
-            return Ok(Arc::new(CompiledRollup::compile(query, self)?));
-        };
-        {
-            let mut plans = self.plans();
-            match plans.get(&key) {
-                Some(plan) if plan.revision() == self.revision => {
-                    dwqa_obs::counter_add(obs::WAREHOUSE_PLANS_REUSED, 1);
-                    return Ok(Arc::clone(plan));
-                }
-                Some(_) => {
-                    plans.remove(&key);
-                }
-                None => {}
-            }
-        }
-        // Compile outside the lock; duplicated work on a race is benign.
-        let plan = Arc::new(CompiledRollup::compile(query, self)?);
-        dwqa_obs::counter_add(obs::WAREHOUSE_PLANS_COMPILED, 1);
-        let mut plans = self.plans();
-        if plans.len() >= PLAN_CACHE_CAPACITY {
-            plans.clear();
-        }
-        plans.insert(key, Arc::clone(&plan));
-        Ok(plan)
     }
 
     /// The schema this warehouse materialises.
@@ -138,8 +68,9 @@ impl Warehouse {
     /// Raw mutable table access **without** a revision bump. Mutation
     /// paths (load, restore) bump the revision once per logical commit
     /// via [`Self::bump_revision`] instead of once per borrowed table —
-    /// per-borrow bumping evicted every cached plan N times during a
-    /// restore and made read-modify helpers look like N mutations.
+    /// per-borrow bumping invalidated every revision-keyed cache N times
+    /// during a restore and made read-modify helpers look like N
+    /// mutations.
     pub(crate) fn dimension_table_raw_mut(
         &mut self,
         id: dwqa_mdmodel::DimensionId,
@@ -245,7 +176,8 @@ impl Warehouse {
             .ok_or_else(|| WarehouseError::UnknownFact(fact_name.to_owned()))?;
         let fact_model = fact_model.clone();
         // Even an all-rejected batch is a conservative invalidation: the
-        // revision moves and stale plans get recompiled, which is cheap.
+        // revision moves and revision-keyed caches recompute, which is
+        // cheap.
         self.revision += 1;
         let mut report = EtlReport::default();
         let mut created: HashMap<String, usize> = HashMap::new();
@@ -477,91 +409,76 @@ mod tests {
         assert!(report.rejected[0].reason.contains("unknown measure"));
     }
 
-    #[test]
-    fn plan_cache_reuses_until_warehouse_changes() {
+    fn by_city() -> crate::query::CubeQuery {
         use crate::query::{AggFn, CubeQuery};
-        let mut wh = Warehouse::new(last_minute_sales());
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
-        )
-        .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
+        CubeQuery::on("Last Minute Sales")
             .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
-        let p2 = wh.plan(&q).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "unchanged warehouse reuses plan");
-        // A different query compiles its own plan.
-        let q2 = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "Airport")
-            .aggregate("price", AggFn::Sum);
-        let p3 = wh.plan(&q2).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        // Loading bumps the revision and evicts stale plans.
-        let rev = wh.revision();
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("JFK", "New York", (2004, 1, 31), 320.0)],
-        )
-        .unwrap();
-        assert!(wh.revision() > rev);
-        let p4 = wh.plan(&q).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p4), "stale plan recompiled after load");
-        assert_eq!(p4.revision(), wh.revision());
+            .aggregate("price", AggFn::Sum)
     }
 
     #[test]
-    fn clone_preserves_revision_with_fresh_plan_cache() {
-        use crate::query::{AggFn, CubeQuery};
+    fn clone_preserves_revision_and_rows() {
         let mut wh = Warehouse::new(last_minute_sales());
         wh.load(
             "Last Minute Sales",
             vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
         )
         .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
         let copy = wh.clone();
         assert_eq!(copy.revision(), wh.revision());
-        // The clone compiles independently but produces identical rows.
-        let p2 = copy.plan(&q).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p2));
+        let q = by_city();
         assert_eq!(q.run(&wh).unwrap(), q.run(&copy).unwrap());
     }
 
     #[test]
-    fn read_only_access_keeps_the_plan_cache_warm() {
-        use crate::query::{AggFn, CubeQuery};
+    fn read_only_access_keeps_the_revision() {
         let mut wh = Warehouse::new(last_minute_sales());
         wh.load(
             "Last Minute Sales",
             vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
         )
         .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
         let rev = wh.revision();
         // Exercise every read path: table accessors, stats, snapshot,
         // query execution, delta capture. None of these mutate, so none
-        // may move the revision or evict the cached plan.
+        // may move the revision (which would invalidate every cache
+        // keyed on it).
         let _ = wh.fact("Last Minute Sales").unwrap().len();
         let _ = wh.dimension("Airport").unwrap().len();
         let _ = wh.stats();
         let _ = wh.snapshot();
-        let _ = q.run(&wh).unwrap();
+        let _ = by_city().run(&wh).unwrap();
         let tracker = wh.delta_tracker();
         assert!(wh.delta_since(&tracker).unwrap().is_empty());
         assert_eq!(wh.revision(), rev, "read-only access bumped revision");
-        let p2 = wh.plan(&q).unwrap();
-        assert!(
-            Arc::ptr_eq(&p1, &p2),
-            "read-only access evicted the cached plan"
-        );
+    }
+
+    #[test]
+    fn run_after_a_load_with_new_members_matches_the_reference() {
+        // A plan compiled before a load that adds dimension members has
+        // too-short member masks and ordinal maps. `run` compiles and
+        // scans in one call, so the scan always sees the current members.
+        let mut wh = Warehouse::new(last_minute_sales());
+        wh.load(
+            "Last Minute Sales",
+            vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
+        )
+        .unwrap();
+        let q = by_city();
+        assert_eq!(q.run(&wh).unwrap(), q.execute_reference(&wh).unwrap());
+        let rev = wh.revision();
+        wh.load(
+            "Last Minute Sales",
+            vec![
+                sale("JFK", "New York", (2004, 1, 31), 320.0),
+                sale("Heathrow", "London", (2004, 2, 1), 210.0),
+            ],
+        )
+        .unwrap();
+        assert!(wh.revision() > rev);
+        let rows = q.run(&wh).unwrap();
+        assert_eq!(rows, q.execute_reference(&wh).unwrap());
+        assert_eq!(rows.rows.len(), 3);
     }
 
     #[test]

@@ -54,24 +54,6 @@ proptest! {
         let q = build_query(query_seed);
         assert_parity(&wh, &q);
     }
-
-    /// Repeated runs of one query against one warehouse hit the plan
-    /// cache; cached plans must not drift from fresh compiles.
-    #[test]
-    fn prop_plan_cache_is_transparent(
-        row_seeds in proptest::collection::vec(any::<u64>(), 1..30),
-        query_seed in any::<u64>(),
-    ) {
-        let wh = build_warehouse(&row_seeds);
-        let q = build_query(query_seed);
-        let first = q.run(&wh);
-        let second = q.run(&wh);
-        match (&first, &second) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            _ => prop_assert!(false, "cached run diverged: {:?} vs {:?}", first, second),
-        }
-    }
 }
 
 /// Four group-by coordinates over 40-member pools push the composed
