@@ -11,9 +11,9 @@
 //!   pruning, fault-layer retries, cache disposition);
 //! * `:bands` — the sales-vs-temperature analysis on current DW contents;
 //! * `:missing` — DW-proposed questions for January 2004;
-//! * `:stats` — per-stage latency histograms, cache counters, outcome
-//!   taxonomy and resilience counters (retries, breaker trips, timeouts,
-//!   rollbacks);
+//! * `:stats` — the session's whole metrics registry, one `name value`
+//!   line each: per-stage latency histograms, cache, outcome, retrieval,
+//!   warehouse and resilience counters;
 //! * `:chaos <rate>` — route document acquisition through a seeded fault
 //!   injector at the given transient-error rate (0 disables);
 //! * `:persist <path>` — attach a durable feedback store at `path`:
@@ -90,7 +90,7 @@ fn main() {
             // Observe against the session registry so the roll-up
             // counters land in `:stats`.
             let _obs = dwqa_obs::observe(
-                Some(Arc::clone(session.stats().registry())),
+                Some(Arc::clone(session.metrics())),
                 None,
                 "analysis",
                 ":bands",
@@ -106,7 +106,7 @@ fn main() {
         }
         if line == ":missing" {
             let _obs = dwqa_obs::observe(
-                Some(Arc::clone(session.stats().registry())),
+                Some(Arc::clone(session.metrics())),
                 None,
                 "analysis",
                 ":missing",
@@ -123,7 +123,7 @@ fn main() {
             continue;
         }
         if line == ":stats" {
-            print!("{}", session.stats().render());
+            print!("{}", session.metrics().render());
             println!(
                 "feed: {} transaction rollback(s) on this pipeline",
                 fx.pipeline.rollbacks()

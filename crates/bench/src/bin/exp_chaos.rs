@@ -31,6 +31,7 @@ use dwqa_engine::{AnswerOutcome, QaEngine, SubmitBatch};
 use dwqa_faults::{
     CorpusSource, DocumentSource, FaultInjector, FaultPlan, ResilientSource, RetryPolicy,
 };
+use dwqa_obs::names;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +159,7 @@ fn main() {
         }
         let (eval, fed) = evaluate(&fx.pipeline, &fx.truth);
         assert_eq!(
-            engine.stats().worker_deaths(),
+            engine.metrics().counter_value(names::WORKER_DEATHS),
             0,
             "the worker pool must survive every fault rate"
         );
@@ -172,8 +173,8 @@ fn main() {
         println!(
             "{rate:>5.2} | {:>25} | {:>7} | {:>5} | {:>6.3} | {:>9.3} | {fed:>7}",
             outcome_histogram(&report.outcomes),
-            engine.stats().source_retries(),
-            engine.stats().breaker_trips(),
+            engine.metrics().gauge_value(names::SOURCE_RETRIES),
+            engine.metrics().gauge_value(names::SOURCE_BREAKER_TRIPS),
             eval.recall(),
             eval.precision(),
         );
@@ -283,12 +284,12 @@ fn main() {
         qs.len(),
         unavailable,
         report.feed.loaded,
-        engine.stats().worker_deaths()
+        engine.metrics().counter_value(names::WORKER_DEATHS)
     );
     assert_eq!(unavailable, qs.len(), "every question degrades explicitly");
     assert!(report.answers.iter().all(|a| a.is_empty()));
     assert_eq!(report.feed.loaded, 0);
-    assert_eq!(engine.stats().worker_deaths(), 0);
+    assert_eq!(engine.metrics().counter_value(names::WORKER_DEATHS), 0);
     assert!(
         wall < deadline * (qs.len() as u32),
         "no hangs: the outage resolves inside the deadline budget"

@@ -12,6 +12,7 @@ use dwqa_common::Month;
 use dwqa_core::{evaluate_temperatures, ExtractionEval};
 use dwqa_corpus::PageStyle;
 use dwqa_engine::QaEngine;
+use dwqa_obs::names;
 
 fn main() {
     section("Figure 4 — extraction from prose weather pages");
@@ -56,14 +57,14 @@ fn main() {
             );
             overall.merge(&eval);
         }
-        let s = engine.stats();
+        let m = engine.metrics();
         println!(
             "     ({} questions on {} worker(s): analyze {} µs, passages {} µs, extract {} µs mean)",
-            s.questions(),
+            m.counter_value(names::QUESTIONS),
             engine.workers(),
-            s.analyze.mean_us(),
-            s.passages.mean_us(),
-            s.extract.mean_us()
+            m.histogram(names::STAGE_ANALYZE).mean_us(),
+            m.histogram(names::STAGE_PASSAGES).mean_us(),
+            m.histogram(names::STAGE_EXTRACT).mean_us()
         );
     }
     section("Overall (all seeds, all cities)");

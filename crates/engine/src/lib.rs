@@ -13,8 +13,9 @@
 //! * [`AnswerCache`] — a bounded, exact-LRU cache behind one lock, keyed
 //!   on normalized question text, with entries tagged by the warehouse
 //!   revision and invalidated when feedback ETL mutates the warehouse;
-//! * [`EngineStats`] — lock-free per-stage counters and latency
-//!   histograms, rendered by the REPL and the experiment binaries;
+//! * [`QaEngine::metrics`] — the engine's `dwqa_obs` metrics registry:
+//!   lock-free per-stage latency histograms and counters, shared with
+//!   the layers below and read as one sorted snapshot;
 //! * [`QaSession`] — the session-oriented user API
 //!   (`QaSession::new(&pipeline)`), and [`SubmitBatch`] which adds
 //!   `pipeline.submit_batch(&questions) -> BatchReport`.
@@ -25,7 +26,7 @@
 //! let mut session = QaSession::new(&pipeline);
 //! let answers = session.ask("What is the temperature in January of 2004 in El Prat?");
 //! let report = pipeline.submit_batch(&questions); // concurrent read, serial feed
-//! println!("{}", session.stats().render());
+//! print!("{}", session.metrics().render());
 //! # }
 //! ```
 
@@ -38,9 +39,8 @@
 pub mod cache;
 pub mod outcome;
 pub mod session;
-pub mod stats;
+mod stats;
 
 pub use cache::{normalize_question, AnswerCache};
 pub use outcome::{AnswerOutcome, QuestionReport};
 pub use session::{BatchReport, QaEngine, QaSession, SubmitBatch, DEFAULT_CACHE_CAPACITY};
-pub use stats::{EngineStats, LatencyHistogram, StageStats};

@@ -9,10 +9,10 @@
 
 use crate::cache::{normalize_question, AnswerCache};
 use crate::outcome::{panic_message, AnswerOutcome, QuestionReport};
-use crate::stats::EngineStats;
+use crate::stats::Instruments;
 use dwqa_core::{FeedReport, IntegrationPipeline, ReadPath};
 use dwqa_faults::{DocumentSource, Fetched, SourceHealth};
-use dwqa_obs::{FlightRecorder, Trace, Tracer};
+use dwqa_obs::{FlightRecorder, MetricsRegistry, Trace, Tracer};
 use dwqa_qa::{Answer, PipelineTrace};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ fn normalize_ws(s: &str) -> String {
 pub struct QaEngine {
     read: ReadPath,
     cache: AnswerCache,
-    stats: EngineStats,
+    instruments: Instruments,
     tracer: Tracer,
     workers: usize,
     source: Option<Arc<dyn DocumentSource>>,
@@ -71,7 +71,7 @@ impl QaEngine {
         QaEngine {
             read,
             cache: AnswerCache::new(DEFAULT_CACHE_CAPACITY),
-            stats: EngineStats::default(),
+            instruments: Instruments::new(Arc::new(MetricsRegistry::new())),
             tracer: Tracer::default(),
             workers,
             source: None,
@@ -174,9 +174,10 @@ impl QaEngine {
         self.workers
     }
 
-    /// The engine's statistics (live; updated by every answer).
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+    /// The engine's metrics registry (live; updated by every answer and
+    /// shared with the retrieval, warehouse and store layers below it).
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        self.instruments.registry()
     }
 
     /// The engine's answer cache.
@@ -227,9 +228,9 @@ impl QaEngine {
         batch_index: Option<usize>,
         deadline: Option<Instant>,
     ) -> QuestionReport {
-        self.stats.record_question();
+        self.instruments.record_question();
         let obs = dwqa_obs::observe(
-            Some(Arc::clone(self.stats.registry())),
+            Some(Arc::clone(self.instruments.registry())),
             Some(&self.tracer),
             "question",
             question,
@@ -243,14 +244,14 @@ impl QaEngine {
                 Ok(report) => report,
                 Err(payload) => QuestionReport::panicked(panic_message(payload.as_ref())),
             };
-        self.stats.record_outcome(report.outcome);
+        self.instruments.record_outcome(report.outcome);
         obs.root_field("outcome", report.outcome.label());
         obs.root_field("answers", report.answers.len());
         if let Some(detail) = &report.detail {
             obs.root_field("detail", detail.as_str());
         }
         if let Some(health) = self.source_health() {
-            self.stats.sync_source_health(&health);
+            self.instruments.sync_source_health(&health);
         }
         report
     }
@@ -260,11 +261,11 @@ impl QaEngine {
         let key = normalize_question(question);
         let revision = self.read.revision();
         if let Some(hit) = self.cache.lookup(&key, revision) {
-            self.stats.record_cache_hit();
+            self.instruments.record_cache_hit();
             dwqa_obs::root_field("cache", "hit");
             return QuestionReport::ok(hit);
         }
-        self.stats.record_cache_miss();
+        self.instruments.record_cache_miss();
         dwqa_obs::root_field("cache", "miss");
         let qa = self.read.qa();
         let t = Instant::now();
@@ -272,7 +273,7 @@ impl QaEngine {
             let _span = dwqa_obs::span!("analyze");
             qa.analyze(question)
         };
-        self.stats.analyze.record(t.elapsed());
+        self.instruments.analyze.record(t.elapsed());
         if expired(deadline) {
             return QuestionReport::timed_out("deadline expired after question analysis");
         }
@@ -283,7 +284,7 @@ impl QaEngine {
             span.record("returned", passages.len());
             passages
         };
-        self.stats.passages.record(t.elapsed());
+        self.instruments.passages.record(t.elapsed());
         if expired(deadline) {
             return QuestionReport::timed_out("deadline expired after passage selection");
         }
@@ -332,7 +333,7 @@ impl QaEngine {
             span.record("answers", answers.len());
             answers
         };
-        self.stats.extract.record(t.elapsed());
+        self.instruments.extract.record(t.elapsed());
 
         // Re-validation: an answer extracted from a re-acquired document
         // survives only if the fetched body is intact or still contains
@@ -390,7 +391,7 @@ impl QaEngine {
     /// question yields a [`AnswerOutcome::Panicked`] report for that
     /// question only — the worker pool survives.
     pub fn answer_batch_checked(&self, questions: &[String]) -> Vec<QuestionReport> {
-        self.stats.record_batch();
+        self.instruments.record_batch();
         let n = questions.len();
         let workers = self.workers.min(n.max(1));
         if workers <= 1 {
@@ -422,7 +423,7 @@ impl QaEngine {
             // a bug — count it (the chaos harness asserts this stays 0)
             // and degrade the unfilled slots instead of poisoning the
             // whole batch.
-            self.stats.record_worker_death();
+            self.instruments.record_worker_death();
         }
         slots
             .into_iter()
@@ -497,9 +498,9 @@ impl QaSession {
         &mut self.engine
     }
 
-    /// The session's statistics.
-    pub fn stats(&self) -> &EngineStats {
-        self.engine.stats()
+    /// The session engine's metrics registry.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        self.engine.metrics()
     }
 }
 
@@ -563,18 +564,18 @@ impl SubmitBatch for IntegrationPipeline {
         // flight recorder alongside the per-question traces.
         let feed_result = {
             let _obs = dwqa_obs::observe(
-                Some(Arc::clone(engine.stats().registry())),
+                Some(Arc::clone(engine.metrics())),
                 Some(engine.tracer()),
                 "feed",
                 "batch feed",
             );
             self.feed_batch(&batches)
         };
-        engine.stats().feed.record(t.elapsed());
+        engine.instruments.feed.record(t.elapsed());
         let (feed, rolled_back, feed_error) = match feed_result {
             Ok(feed) => (feed, false, None),
             Err(err) => {
-                engine.stats().record_rollback();
+                engine.instruments.record_rollback();
                 (FeedReport::default(), true, Some(err.to_string()))
             }
         };

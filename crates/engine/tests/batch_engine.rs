@@ -9,6 +9,7 @@ use dwqa_common::{Date, Month};
 use dwqa_core::IntegrationPipeline;
 use dwqa_corpus::PageStyle;
 use dwqa_engine::{QaEngine, QaSession, SubmitBatch};
+use dwqa_obs::names;
 use dwqa_warehouse::{AggFn, CubeQuery};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -158,8 +159,8 @@ fn cache_serves_repeats_and_feedback_invalidates() {
     let q = monthly_question("Barcelona", 2004, Month::January);
 
     let first = engine.answer(&q);
-    assert_eq!(engine.stats().cache_misses(), 1);
-    assert_eq!(engine.stats().cache_hits(), 0);
+    assert_eq!(engine.metrics().counter_value(names::CACHE_MISSES), 1);
+    assert_eq!(engine.metrics().counter_value(names::CACHE_HITS), 0);
 
     // Identical answers from the cache — including for a differently
     // spelled variant of the same question.
@@ -168,7 +169,7 @@ fn cache_serves_repeats_and_feedback_invalidates() {
         engine.answer("what is the WEATHER like in January of 2004 in Barcelona"),
         first
     );
-    assert_eq!(engine.stats().cache_hits(), 2);
+    assert_eq!(engine.metrics().counter_value(names::CACHE_HITS), 2);
 
     // Feedback ETL mutates the warehouse: the revision moves and the
     // cached entry must not be served any more.
@@ -176,7 +177,7 @@ fn cache_serves_repeats_and_feedback_invalidates() {
     pipeline.apply_feedback(&first);
     assert!(engine.read_path().revision() > revision_before);
     assert_eq!(engine.answer(&q), first); // recomputed, same pure answers
-    assert_eq!(engine.stats().cache_misses(), 2);
+    assert_eq!(engine.metrics().counter_value(names::CACHE_MISSES), 2);
 
     // A feed that only skips duplicates loads nothing, so it must NOT
     // invalidate: the freshly recomputed entry keeps serving hits.
@@ -185,7 +186,7 @@ fn cache_serves_repeats_and_feedback_invalidates() {
     assert_eq!(report.loaded, 0);
     assert_eq!(engine.read_path().revision(), revision_before);
     assert_eq!(engine.answer(&q), first);
-    assert_eq!(engine.stats().cache_misses(), 2); // still 2 — that was a hit
+    assert_eq!(engine.metrics().counter_value(names::CACHE_MISSES), 2); // still 2 — that was a hit
 
     // The stale entry is also purgeable eagerly.
     engine.answer(&q);
@@ -205,9 +206,12 @@ fn submitting_through_one_engine_reuses_the_cache_within_a_batch() {
     let report = pipeline.submit_batch_with(&engine, &batch);
     // Two workers may race to a benign double-miss on the same key, but
     // never more, and every question is accounted for.
-    let misses = engine.stats().cache_misses();
+    let misses = engine.metrics().counter_value(names::CACHE_MISSES);
     assert!((1..=2).contains(&misses), "misses: {misses}");
-    assert_eq!(engine.stats().cache_hits() + misses, 4);
+    assert_eq!(
+        engine.metrics().counter_value(names::CACHE_HITS) + misses,
+        4
+    );
     assert!(report.answers.windows(2).all(|w| w[0] == w[1]));
     // Feeding the duplicates loaded each (city, date) point exactly once;
     // the repeats only skipped duplicates.
@@ -229,8 +233,11 @@ fn session_records_history_and_renders_stats() {
     let batch = daily_questions("Madrid", 2004, Month::January)[..3].to_vec();
     session.ask_batch(&batch);
     assert_eq!(session.history().len(), 4);
-    assert_eq!(session.stats().questions(), 4);
-    let rendered = session.stats().render();
-    assert!(rendered.contains("analyze"));
-    assert!(rendered.contains("hit rate"));
+    assert_eq!(session.metrics().counter_value(names::QUESTIONS), 4);
+    let rendered = session.metrics().render();
+    assert!(
+        rendered.contains("engine.stage.analyze.p95_us"),
+        "{rendered}"
+    );
+    assert!(rendered.contains("engine.cache.hits"), "{rendered}");
 }

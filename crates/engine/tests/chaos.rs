@@ -13,6 +13,7 @@ use dwqa_engine::{AnswerOutcome, QaEngine, SubmitBatch};
 use dwqa_faults::{
     CorpusSource, DocumentSource, FaultInjector, FaultPlan, ResilientSource, RetryPolicy,
 };
+use dwqa_obs::names;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,8 +115,8 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(engine.stats().worker_deaths(), 0);
-        prop_assert_eq!(engine.stats().outcomes_panicked(), 0);
+        prop_assert_eq!(engine.metrics().counter_value(names::WORKER_DEATHS), 0);
+        prop_assert_eq!(engine.metrics().counter_value("engine.outcome.panicked"), 0);
     }
 
     /// A rolled-back feed leaves the warehouse fact counts and the cache
@@ -145,7 +146,7 @@ proptest! {
         );
         prop_assert_eq!(pipeline.revision(), revision_before, "no spurious cache bump");
         prop_assert_eq!(pipeline.warehouse.snapshot(), snapshot_before);
-        prop_assert_eq!(engine.stats().rollbacks(), 1);
+        prop_assert_eq!(engine.metrics().counter_value(names::ROLLBACKS), 1);
 
         // The same batch commits once the fault lifts: nothing was
         // corrupted by the failed attempt.
@@ -187,7 +188,7 @@ fn permanent_failure_yields_source_unavailable_within_deadline() {
         wall < deadline * (questions.len() as u32),
         "batch took {wall:?}"
     );
-    assert_eq!(engine.stats().worker_deaths(), 0);
+    assert_eq!(engine.metrics().counter_value(names::WORKER_DEATHS), 0);
     assert!(!report.rolled_back);
     assert_eq!(report.feed.loaded, 0, "nothing to load from empty answers");
 }
@@ -208,7 +209,7 @@ fn injected_panics_are_isolated_to_their_question() {
         .iter()
         .filter(|r| r.outcome == AnswerOutcome::Panicked)
         .count();
-    assert!(panicked > 0, "outcomes: {:?}", engine.stats().render());
+    assert!(panicked > 0, "metrics:\n{}", engine.metrics().render());
     for r in &reports {
         if r.outcome == AnswerOutcome::Panicked {
             assert!(r.answers.is_empty());
@@ -220,8 +221,11 @@ fn injected_panics_are_isolated_to_their_question() {
         }
     }
     // The pool survived: every slot was filled by a live worker.
-    assert_eq!(engine.stats().worker_deaths(), 0);
-    assert_eq!(engine.stats().outcomes_panicked(), panicked as u64);
+    assert_eq!(engine.metrics().counter_value(names::WORKER_DEATHS), 0);
+    assert_eq!(
+        engine.metrics().counter_value("engine.outcome.panicked"),
+        panicked as u64
+    );
 }
 
 #[test]
@@ -236,7 +240,10 @@ fn zero_deadline_times_out_instead_of_hanging() {
         assert_eq!(r.outcome, AnswerOutcome::TimedOut);
         assert!(r.answers.is_empty());
     }
-    assert_eq!(engine.stats().outcomes_timed_out(), 4);
+    assert_eq!(
+        engine.metrics().counter_value("engine.outcome.timed-out"),
+        4
+    );
 }
 
 #[test]
@@ -260,10 +267,13 @@ fn corrupted_bodies_degrade_but_never_alter_answers() {
     }
 
     // Degraded results are not cached: the engine reports a miss again.
-    let misses_before = engine.stats().cache_misses();
+    let misses_before = engine.metrics().counter_value(names::CACHE_MISSES);
     let again = engine.answer_checked(&q);
     assert_eq!(again.outcome, AnswerOutcome::Degraded);
-    assert_eq!(engine.stats().cache_misses(), misses_before + 1);
+    assert_eq!(
+        engine.metrics().counter_value(names::CACHE_MISSES),
+        misses_before + 1
+    );
 }
 
 #[test]
@@ -286,6 +296,6 @@ fn fault_free_source_preserves_clean_behaviour() {
     assert!(report.outcomes.iter().all(|o| o.is_ok()));
     assert!(!report.rolled_back);
     assert!(report.feed.loaded > 0);
-    assert_eq!(engine.stats().source_retries(), 0);
-    assert_eq!(engine.stats().breaker_trips(), 0);
+    assert_eq!(engine.metrics().gauge_value(names::SOURCE_RETRIES), 0);
+    assert_eq!(engine.metrics().gauge_value(names::SOURCE_BREAKER_TRIPS), 0);
 }

@@ -18,7 +18,7 @@
 //!   postings, and documents without query terms are never scored
 //!   ([`passage::RetrievalStats`] reports the pruning);
 //! * [`mdir`] — the multidimensional-IR **baseline** of McCabe et al.
-//!   (SIGIR 2000, the paper's reference [11]): documents categorised along
+//!   (SIGIR 2000, the paper's reference \[11\]): documents categorised along
 //!   location × time dimensions, filtered OLAP-style before term search.
 
 //! ```

@@ -1,4 +1,4 @@
-//! Multidimensional IR baseline (McCabe et al., SIGIR 2000 — ref. [11]).
+//! Multidimensional IR baseline (McCabe et al., SIGIR 2000 — ref. \[11\]).
 //!
 //! The related-work system the paper contrasts with: an IR index whose
 //! documents are *categorised by location and time* so OLAP-style

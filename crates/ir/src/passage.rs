@@ -1,6 +1,6 @@
 //! IR-n passage retrieval.
 //!
-//! IR-n (the paper's reference [9], AliQAn's Module 2 back end) ranks
+//! IR-n (the paper's reference \[9\], AliQAn's Module 2 back end) ranks
 //! *passages* — windows of `n` consecutive sentences — instead of whole
 //! documents, so the QA extractor works on a small, dense piece of text.
 //! The paper's footnote 6 fixes `n = 8` for its experiment; the window

@@ -1,7 +1,7 @@
 //! Word-sense disambiguation (simplified Lesk).
 //!
 //! The paper applies a WSD algorithm over WordNet/EuroWordNet during
-//! indexation ([4] in its references). We implement the classic
+//! indexation (\[4\] in its references). We implement the classic
 //! gloss-overlap (Lesk) approach, *generic over the sense inventory*: the
 //! ontology crate implements [`SenseInventory`] for its merged ontology, so
 //! this module stays independent of it — and so the Step-2 enrichment

@@ -347,7 +347,8 @@ mod tests {
 
     #[test]
     fn disabled_tracer_collects_nothing_but_metrics_flow() {
-        let tracer = Tracer::new(8); // disabled
+        let tracer = Tracer::new(8);
+        tracer.set_enabled(false); // `DWQA_TRACE` would default it on
         let reg = registry();
         {
             let _obs = observe(Some(Arc::clone(&reg)), Some(&tracer), "question", "q");

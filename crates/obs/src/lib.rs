@@ -11,8 +11,8 @@
 //!   buffer keeps the last N completed traces, dumpable as JSON lines
 //!   or an indented tree.
 //! * **What happened overall?** A [`MetricsRegistry`] of named
-//!   counters, gauges and power-of-two-µs histograms — the engine's
-//!   `EngineStats` is a view over it.
+//!   counters, gauges and power-of-two-µs histograms, read as one
+//!   sorted [`MetricsRegistry::snapshot`] by every reporter.
 //!
 //! The crate has **zero dependencies** (std only). Instrumented crates
 //! never thread handles: a worker installs its engine's registry and

@@ -2,10 +2,10 @@
 //!
 //! All instruments are lock-free once resolved: the registry hands out
 //! `Arc` handles that record through atomics, so hot paths cache the
-//! handle and never touch the registry lock again. Histograms use the
-//! logarithmic (power-of-two microsecond) bucket scheme the engine's
-//! `EngineStats` always used — `EngineStats` is now a *view* over a
-//! registry instead of a parallel implementation.
+//! handle and never touch the registry lock again. Histograms use
+//! logarithmic (power-of-two microsecond) buckets. Readers — the server's
+//! `stats` verb, the REPL's `:stats`, the experiment binaries — take one
+//! [`MetricsRegistry::snapshot`] instead of keeping their own stat views.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,9 +154,8 @@ impl Histogram {
     /// Merges `other` into `self`, bucket by bucket over the **full**
     /// bucket range. A merge bounded by the destination's highest
     /// observed bucket silently drops the source's tail counts whenever
-    /// the two histograms saw different latency ranges — the
-    /// `EngineStats` bug this registry migration fixed; the regression
-    /// test lives in `dwqa-engine::stats`.
+    /// the two histograms saw different latency ranges (regression test:
+    /// `absorb_keeps_every_bucket_of_disjoint_ranges`).
     pub fn absorb(&self, other: &Histogram) {
         for i in 0..BUCKETS {
             let n = other.buckets[i].load(Ordering::Relaxed);
@@ -250,9 +249,42 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Every registered counter name (sorted).
-    pub fn counter_names(&self) -> Vec<String> {
-        locked(&self.counters).keys().cloned().collect()
+    /// Every instrument's current value in one sorted name → value map:
+    /// counters and gauges under their own names, each histogram as
+    /// `<name>.samples`, `.sum_us`, `.p50_us`, `.p95_us`, `.p99_us` and
+    /// `.max_us` (quantiles are bucket upper bounds). Reading creates no
+    /// instrument.
+    pub fn snapshot(&self) -> BTreeMap<String, u64> {
+        let mut snap = BTreeMap::new();
+        for (name, c) in locked(&self.counters).iter() {
+            snap.insert(name.clone(), c.value());
+        }
+        for (name, g) in locked(&self.gauges).iter() {
+            snap.insert(name.clone(), g.value());
+        }
+        for (name, h) in locked(&self.histograms).iter() {
+            for (suffix, value) in [
+                ("samples", h.samples()),
+                ("sum_us", h.sum_us()),
+                ("p50_us", h.quantile_us(0.50)),
+                ("p95_us", h.quantile_us(0.95)),
+                ("p99_us", h.quantile_us(0.99)),
+                ("max_us", h.quantile_us(1.0)),
+            ] {
+                snap.insert(format!("{name}.{suffix}"), value);
+            }
+        }
+        snap
+    }
+
+    /// The [`snapshot`](MetricsRegistry::snapshot) as plain text: one
+    /// `name value` line per entry, names padded to a common width.
+    pub fn render(&self) -> String {
+        let snap = self.snapshot();
+        let width = snap.keys().map(|k| k.chars().count()).max().unwrap_or(0);
+        snap.iter()
+            .map(|(name, value)| format!("{name:<width$}  {value}\n"))
+            .collect()
     }
 
     /// Merges every instrument of `other` into `self`: counters and
@@ -297,7 +329,7 @@ mod tests {
         reg.gauge("g").set(7);
         reg.gauge("g").set(5);
         assert_eq!(reg.gauge_value("g"), 5);
-        assert_eq!(reg.counter_names(), vec!["c".to_owned()]);
+        assert_eq!(reg.snapshot().into_keys().collect::<Vec<_>>(), ["c", "g"]);
     }
 
     #[test]
@@ -318,7 +350,7 @@ mod tests {
 
     #[test]
     fn absorb_keeps_every_bucket_of_disjoint_ranges() {
-        // Regression shape for the EngineStats merge bug: one histogram
+        // Regression shape for a range-bounded merge bug: one histogram
         // saw only microsecond-scale samples, the other only
         // second-scale ones. A merge bounded by the destination's
         // observed range would drop the entire source.
@@ -351,6 +383,45 @@ mod tests {
         assert_eq!(a.counter_value("only_b"), 5);
         assert_eq!(a.gauge_value("g"), 9);
         assert_eq!(a.histogram("h").samples(), 1);
+        // The source registry is untouched.
+        assert_eq!(b.counter_value("x"), 2);
+        assert_eq!(b.histogram("h").samples(), 1);
+    }
+
+    #[test]
+    fn snapshot_flattens_every_instrument_in_sorted_order() {
+        let reg = MetricsRegistry::new();
+        reg.counter("b.count").add(3);
+        reg.gauge("a.level").set(7);
+        for us in [1u64, 2, 3, 100, 100, 100, 100, 5000] {
+            reg.histogram("c.time").record(Duration::from_micros(us));
+        }
+        let snap = reg.snapshot();
+        let expected = [
+            ("a.level", 7),
+            ("b.count", 3),
+            ("c.time.max_us", 8192),
+            ("c.time.p50_us", 128),
+            ("c.time.p95_us", 8192),
+            ("c.time.p99_us", 8192),
+            ("c.time.samples", 8),
+            ("c.time.sum_us", 5406),
+        ];
+        let got: Vec<(&str, u64)> = snap.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(got, expected);
+        // Reading is side-effect free: no instrument appears.
+        assert_eq!(reg.snapshot(), snap);
+        assert!(MetricsRegistry::new().snapshot().is_empty());
+    }
+
+    #[test]
+    fn render_prints_one_aligned_line_per_snapshot_entry() {
+        let reg = MetricsRegistry::new();
+        reg.counter("engine.questions").add(4);
+        reg.gauge("x").set(1);
+        let text = reg.render();
+        assert_eq!(text, "engine.questions  4\nx                 1\n");
+        assert_eq!(MetricsRegistry::new().render(), "");
     }
 
     #[test]

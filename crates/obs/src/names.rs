@@ -1,8 +1,8 @@
 //! The shared metric-name taxonomy (DESIGN.md §10).
 //!
 //! Every instrumented crate records against these constants so the
-//! engine's `EngineStats` view, the REPL `:stats` table, and the
-//! experiment binaries all read the same names. Dotted segments group
+//! server's `stats` verb, the REPL `:stats` table, and the experiment
+//! binaries all read the same names. Dotted segments group
 //! by subsystem: `engine.*` (stage latencies, cache, outcomes),
 //! `retrieval.*` (index pruning), `source.*` (fault layer), `feed.*`
 //! (ETL dispositions).
@@ -24,6 +24,9 @@ pub const BATCHES: &str = "engine.batches";
 pub const CACHE_HITS: &str = "engine.cache.hits";
 /// Counter: answer-cache misses.
 pub const CACHE_MISSES: &str = "engine.cache.misses";
+/// Gauge: entries held by the answer cache (sampled by the server's
+/// `stats` verb).
+pub const CACHE_ENTRIES: &str = "engine.cache.entries";
 /// Counter prefix for per-outcome totals; the outcome label is
 /// appended, e.g. `engine.outcome.degraded`.
 pub const OUTCOME_PREFIX: &str = "engine.outcome.";
@@ -53,6 +56,10 @@ pub const SOURCE_BREAKER_REJECTIONS: &str = "source.breaker.rejections";
 /// Gauge: fetches that exhausted every attempt.
 pub const SOURCE_FAILURES: &str = "source.failures";
 
+/// Gauge: 1 when the pipeline has a durable feedback store attached, so
+/// feedback commits are WAL-logged before they are acknowledged
+/// (sampled by the server's `stats` verb).
+pub const STORE_DURABLE: &str = "store.durable";
 /// Counter: WAL records appended by the feedback store (`dwqa-store`).
 pub const STORE_WAL_APPENDS: &str = "store.wal.appends";
 /// Counter: WAL payload + header bytes written.
@@ -75,6 +82,9 @@ pub const STORE_TORN_FAULTS: &str = "store.torn.faults";
 /// Counter: WAL records dropped on recovery as a torn / stale tail.
 pub const STORE_RECOVERY_TRUNCATED: &str = "store.recovery.truncated";
 
+/// Gauge: warehouse revision visible on the read path (sampled by the
+/// server's `stats` verb).
+pub const WAREHOUSE_REVISION: &str = "warehouse.revision";
 /// Counter: fact rows walked by compiled roll-up scans (summed;
 /// `dwqa-warehouse`).
 pub const WAREHOUSE_ROWS_SCANNED: &str = "warehouse.rows.scanned";
@@ -112,7 +122,8 @@ pub const SERVER_COMPLETED: &str = "server.completed";
 pub const SERVER_PROTOCOL_ERRORS: &str = "server.protocol_errors";
 /// Histogram: admission-to-dispatch queue wait per admitted request.
 pub const SERVER_QUEUE_WAIT: &str = "server.queue.wait";
-/// Gauge: work requests currently queued (admitted, not yet running).
+/// Gauge: work requests currently queued (admitted, not yet running;
+/// sampled by the server's `stats` verb).
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue.depth";
 /// Gauge: connected clients.
 pub const SERVER_CLIENTS: &str = "server.clients";

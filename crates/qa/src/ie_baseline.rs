@@ -1,6 +1,6 @@
 //! The Information-Extraction baseline.
 //!
-//! The paper's reference [1] (Badia 2006) proposes template-filling IE as
+//! The paper's reference \[1\] (Badia 2006) proposes template-filling IE as
 //! the bridge between documents and databases. The paper's objection is
 //! twofold: IE "does not facilitate the processing of huge amounts of
 //! documents" (it scans *everything*, with no IR filtering) and "is

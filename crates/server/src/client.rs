@@ -142,7 +142,7 @@ impl QaClient {
         Ok(response)
     }
 
-    /// Fetches service counters.
+    /// Fetches the server's metrics registry snapshot.
     pub fn stats(&mut self) -> Result<Response, Error> {
         let id = self.next_id();
         self.request(&Request::stats(id))

@@ -11,7 +11,9 @@
 //!   path (cached, deadline-bounded, fault-hardened);
 //! * **`feedback`** — answer *and* feed the results into the warehouse
 //!   through the serialized transactional write path;
-//! * **`stats`** — service counters, cache and outcome taxonomy;
+//! * **`stats`** — the shared metrics registry as one name → value
+//!   snapshot: server, engine, retrieval, warehouse, store and
+//!   replication counters, gauges and latency summaries;
 //! * **`replicas`** — replication role, position, and peer status;
 //! * **`promote`** — promote a warm standby to primary;
 //! * **`drain`** — begin graceful shutdown.
@@ -69,8 +71,7 @@ pub use bucket::TokenBucket;
 pub use client::QaClient;
 pub use config::{ServerConfig, ServerConfigBuilder};
 pub use protocol::{
-    BusyReason, Command, PeerStatus, ProtocolError, ReplicasReport, Request, Response,
-    ServiceStats, Status,
+    BusyReason, Command, PeerStatus, ProtocolError, ReplicasReport, Request, Response, Status,
 };
 pub use repl::{ReplicationConfig, ReplicationConfigBuilder, ReplicationMode, Role};
 pub use server::QaServer;

@@ -11,7 +11,7 @@
 //! | `ask`      | `question`, `deadline_ms?`   | answer via the read path        |
 //! | `batch`    | `questions`, `deadline_ms?`  | answer several questions        |
 //! | `feedback` | `questions`                  | answer *and* feed the warehouse |
-//! | `stats`    | —                            | service counters                |
+//! | `stats`    | —                            | metrics registry snapshot       |
 //! | `drain`    | —                            | begin graceful shutdown         |
 //! | `replicas` | —                            | replication role/peer report    |
 //! | `promote`  | —                            | promote this standby to primary |
@@ -20,11 +20,20 @@
 //! backpressure with a [`BusyReason`] and a `retry_after_ms` hint), or
 //! `Error` (malformed/invalid request, reported — never a dropped
 //! connection).
+//!
+//! A `stats` response carries the server's whole metrics registry as one
+//! JSON object of name → `u64` (see `dwqa_obs::MetricsRegistry::snapshot`
+//! for the key scheme), so a new counter is exported with no protocol
+//! change. Instruments are created on first use, so a counter that has
+//! never fired is absent and reads as 0.
 
 use dwqa_qa::Answer;
+use std::collections::HashMap;
 
 /// Protocol revision spoken by [`crate::QaServer`] and [`crate::QaClient`].
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Revision 2 replaced the fixed `stats` struct with the registry
+/// snapshot map.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// One request line. `id` is chosen by the client and echoed back on
 /// the matching response; fields beyond `kind` are verb-specific.
@@ -243,8 +252,8 @@ pub struct Response {
     pub loaded: Option<u64>,
     /// Duplicate tuples skipped by the feed (`feedback` only).
     pub duplicates: Option<u64>,
-    /// Service counters (`stats` only).
-    pub stats: Option<ServiceStats>,
+    /// The metrics registry snapshot, name → value (`stats` only).
+    pub stats: Option<HashMap<String, u64>>,
     /// Where to send writes instead (`Busy`/`NotPrimary` only): the
     /// primary's advertised client address, when known. (The vendored
     /// deserializer treats a missing key as `None`, so older peers
@@ -304,8 +313,8 @@ impl Response {
         }
     }
 
-    /// An `Ok` response carrying service counters.
-    pub fn stats(id: u64, stats: ServiceStats) -> Response {
+    /// An `Ok` response carrying a metrics snapshot.
+    pub fn stats(id: u64, stats: HashMap<String, u64>) -> Response {
         Response {
             stats: Some(stats),
             ..Response::bare(id, Status::Ok)
@@ -361,49 +370,6 @@ impl Response {
     pub fn is_busy(&self) -> bool {
         self.status == Status::Busy
     }
-}
-
-/// Service-level counters returned by the `stats` verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub struct ServiceStats {
-    /// Requests received, every kind and disposition.
-    pub requests: u64,
-    /// Work requests admitted into the queue.
-    pub admitted: u64,
-    /// Work requests shed at queue capacity.
-    pub shed: u64,
-    /// Work requests refused by a token bucket.
-    pub rate_limited: u64,
-    /// Work requests refused because the server was draining.
-    pub drained: u64,
-    /// Admitted work items completed.
-    pub completed: u64,
-    /// Request lines that failed to parse or validate.
-    pub protocol_errors: u64,
-    /// Work items currently queued.
-    pub queue_depth: u64,
-    /// Connected clients.
-    pub clients: u64,
-    /// Questions answered by the engine.
-    pub questions: u64,
-    /// Answer-cache hits.
-    pub cache_hits: u64,
-    /// Answer-cache misses.
-    pub cache_misses: u64,
-    /// Entries currently held by the answer cache, read under the
-    /// cache's lock (held only for a single map operation).
-    pub cache_entries: u64,
-    /// Warehouse revision visible on the read path.
-    pub revision: u64,
-    /// True when the pipeline has a durable feedback store attached,
-    /// so `feedback` commits are WAL-logged before the `ok` response.
-    pub durable: bool,
-    /// WAL record appends observed by this service's feed transactions
-    /// (0 when not durable).
-    pub wal_appends: u64,
-    /// Client connections dropped because a read timed out before a
-    /// full request line arrived (slow-loris defence).
-    pub disconnects_timeout: u64,
 }
 
 /// The `replicas` verb's report: this server's replication role and
@@ -535,7 +501,14 @@ mod tests {
             Response::busy(4, BusyReason::RateLimited, Some(12)),
             Response::busy(5, BusyReason::Draining, None),
             Response::error(6, "unknown request kind `sing`"),
-            Response::stats(7, ServiceStats::default()),
+            Response::stats(
+                7,
+                HashMap::from([
+                    ("server.requests".to_owned(), 12),
+                    ("engine.stage.analyze.p95_us".to_owned(), 256),
+                    ("store.durable".to_owned(), 1),
+                ]),
+            ),
             Response::ack(8),
             Response::not_primary(9, Some("127.0.0.1:4040".to_owned())),
             Response::not_primary(10, None),

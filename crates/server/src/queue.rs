@@ -116,9 +116,8 @@ impl AdmissionQueue {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Admits a job, or refuses without blocking. On success, returns
-    /// the queue depth *including* the new job.
-    pub fn try_admit(&self, job: Job) -> Result<usize, AdmitError> {
+    /// Admits a job, or refuses without blocking.
+    pub fn try_admit(&self, job: Job) -> Result<(), AdmitError> {
         let mut state = self.lock();
         if state.draining || state.shutdown {
             return Err(AdmitError::Draining);
@@ -136,10 +135,9 @@ impl AdmissionQueue {
             state.rotation.push_back(client);
         }
         state.queued += 1;
-        let depth = state.queued;
         drop(state);
         self.work_ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Blocks until a job is available (returning it and marking it
@@ -260,7 +258,8 @@ mod tests {
     fn admission_is_refused_at_capacity_with_the_depth() {
         let queue = AdmissionQueue::new(2);
         queue.try_admit(job(1, 0)).unwrap();
-        assert_eq!(queue.try_admit(job(1, 1)), Ok(2));
+        assert_eq!(queue.try_admit(job(1, 1)), Ok(()));
+        assert_eq!(queue.depth(), 2);
         assert_eq!(
             queue.try_admit(job(2, 2)),
             Err(AdmitError::AtCapacity { depth: 2 })
@@ -268,7 +267,8 @@ mod tests {
         // Draining a slot reopens admission.
         queue.next().unwrap();
         queue.done();
-        assert_eq!(queue.try_admit(job(2, 2)), Ok(2));
+        assert_eq!(queue.try_admit(job(2, 2)), Ok(()));
+        assert_eq!(queue.depth(), 2);
     }
 
     #[test]

@@ -26,9 +26,7 @@
 //! `write_all` of one JSON line, so interleaving is line-atomic.
 
 use crate::config::ServerConfig;
-use crate::protocol::{
-    BusyReason, Command, ProtocolError, ReplicasReport, Request, Response, ServiceStats,
-};
+use crate::protocol::{BusyReason, Command, ProtocolError, ReplicasReport, Request, Response};
 use crate::queue::{AdmissionQueue, AdmitError, Job, Work};
 use crate::repl::{self, ReplState, ReplicationConfig, Role};
 use crate::TokenBucket;
@@ -120,29 +118,23 @@ impl Shared {
         let _ = stream.write_all(line.as_bytes());
     }
 
-    fn service_stats(&self) -> ServiceStats {
-        let stats = self.engine.stats();
-        ServiceStats {
-            requests: self.registry.counter_value(names::SERVER_REQUESTS),
-            admitted: self.registry.counter_value(names::SERVER_ADMITTED),
-            shed: self.registry.counter_value(names::SERVER_SHED),
-            rate_limited: self.registry.counter_value(names::SERVER_RATE_LIMITED),
-            drained: self.registry.counter_value(names::SERVER_DRAINED),
-            completed: self.registry.counter_value(names::SERVER_COMPLETED),
-            protocol_errors: self.registry.counter_value(names::SERVER_PROTOCOL_ERRORS),
-            disconnects_timeout: self
-                .registry
-                .counter_value(names::SERVER_DISCONNECTS_TIMEOUT),
-            queue_depth: self.queue.depth() as u64,
-            clients: self.registry.gauge_value(names::SERVER_CLIENTS),
-            questions: stats.questions(),
-            cache_hits: stats.cache_hits(),
-            cache_misses: stats.cache_misses(),
-            cache_entries: self.engine.cache().len() as u64,
-            revision: self.engine.read_path().revision(),
-            durable: self.durable,
-            wal_appends: self.registry.counter_value(names::STORE_WAL_APPENDS),
+    /// The `stats` payload: the registry snapshot, after sampling the
+    /// values that live outside it (queue depth, cache size, read-path
+    /// revision, durability) into their gauges.
+    fn metrics_snapshot(&self) -> HashMap<String, u64> {
+        let sampled = [
+            (names::SERVER_QUEUE_DEPTH, self.queue.depth() as u64),
+            (names::CACHE_ENTRIES, self.engine.cache().len() as u64),
+            (
+                names::WAREHOUSE_REVISION,
+                self.engine.read_path().revision(),
+            ),
+            (names::STORE_DURABLE, u64::from(self.durable)),
+        ];
+        for (name, value) in sampled {
+            self.registry.gauge(name).set(value);
         }
+        self.registry.snapshot().into_iter().collect()
     }
 
     /// The `replicas` report: role, mode, position, and peer status.
@@ -263,7 +255,7 @@ impl QaServer {
             .with_workers(cfg.workers)
             .with_cache_capacity(cfg.cache_capacity)
             .with_tracing(cfg.tracing);
-        let registry = Arc::clone(engine.stats().registry());
+        let registry = Arc::clone(engine.metrics());
 
         let mut repl_state = None;
         let mut repl_listener = None;
@@ -566,7 +558,10 @@ fn connection_loop(shared: &Arc<Shared>, client: u64, stream: TcpStream) {
         );
         match command {
             Command::Stats => {
-                shared.respond(client, &Response::stats(request.id, shared.service_stats()));
+                shared.respond(
+                    client,
+                    &Response::stats(request.id, shared.metrics_snapshot()),
+                );
             }
             Command::Replicas => {
                 shared.respond(
@@ -670,13 +665,7 @@ fn admit(
         deadline,
     };
     match shared.queue.try_admit(job) {
-        Ok(depth) => {
-            shared.counter(names::SERVER_ADMITTED);
-            shared
-                .registry
-                .gauge(names::SERVER_QUEUE_DEPTH)
-                .set(depth as u64);
-        }
+        Ok(()) => shared.counter(names::SERVER_ADMITTED),
         Err(AdmitError::AtCapacity { depth }) => {
             shared.counter(names::SERVER_SHED);
             // Scale the hint by how many queue slots each worker has
@@ -704,10 +693,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             .registry
             .histogram(names::SERVER_QUEUE_WAIT)
             .record(job.admitted_at.elapsed());
-        shared
-            .registry
-            .gauge(names::SERVER_QUEUE_DEPTH)
-            .set(shared.queue.depth() as u64);
         let response = execute(shared, &job);
         shared.respond(job.client, &response);
         shared

@@ -134,7 +134,7 @@ fn malformed_frame_flood_is_survivable_and_fair() {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"Ok\""), "stats after flood failed: {line}");
-    assert!(line.contains("\"protocol_errors\":"));
+    assert!(line.contains("\"server.protocol_errors\":"), "{line}");
     drop(raw);
 
     // The flood never starved the concurrent client.

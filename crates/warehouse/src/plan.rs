@@ -490,8 +490,8 @@ struct MatGroup {
 ///
 /// Incremental maintenance is an optimization, never a correctness
 /// risk: [`MaterializedRollup::build`] declines queries the scheme
-/// cannot carry (reference-executor fallback, more than [`MAX_LANES`]
-/// coordinates), and [`MaterializedRollup::apply_delta`] returns `false`
+/// cannot carry (reference-executor fallback, more than `MAX_LANES`
+/// (4) coordinates), and [`MaterializedRollup::apply_delta`] returns `false`
 /// — demote me — whenever a delta doesn't line up with the folded state
 /// or the group table outgrows its limit.
 #[derive(Debug, Clone)]
@@ -531,7 +531,7 @@ impl MaterializedRollup {
     ///
     /// Returns `Ok(None)` when the query cannot be maintained
     /// incrementally — it needs the reference executor, groups on more
-    /// than [`MAX_LANES`] coordinates, or materialises more than
+    /// than `MAX_LANES` (4) coordinates, or materialises more than
     /// `group_limit` groups — in which case callers run it per-read as
     /// before. Invalid queries report the identical error a
     /// [`CubeQuery::run`] would, so caching never changes error
